@@ -42,6 +42,7 @@ from .rules import (
 )
 from .search import (
     DEFAULT_ZOBRIST_SEED,
+    MAX_PLY,
     TranspositionTable,
     Zobrist,
     alphabeta,
@@ -179,8 +180,9 @@ def load_config(path: str | None, overrides: list[str]) -> Config:
         key, _, value = item.partition("=")
         settings[key.strip()] = _parse_setting(key.strip(), value.strip())
     config = Config(**settings)
-    if not 4 <= config.tt_size_log2 <= 26:
-        raise ConfigError("tt_size_log2 must be between 4 and 26")
+    low, high = TranspositionTable.MIN_SIZE_LOG2, TranspositionTable.MAX_SIZE_LOG2
+    if not low <= config.tt_size_log2 <= high:
+        raise ConfigError(f"tt_size_log2 must be between {low} and {high}")
     if config.threads < 1:
         raise ConfigError("threads must be >= 1")
     if config.zobrist_seed < 0:
@@ -268,8 +270,8 @@ def cmd_perft(args, config: Config) -> int:
 
 
 def cmd_search(args, config: Config) -> int:
-    if args.depth < 0:
-        raise CommandError(EXIT_USAGE, "depth must be >= 0")
+    if not 0 <= args.depth <= MAX_PLY:
+        raise CommandError(EXIT_USAGE, f"depth {args.depth} is outside 0..{MAX_PLY}")
     try:
         get_evaluator(args.evaluator)
     except KeyError as exc:
@@ -302,17 +304,6 @@ def _write_all(tables, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
     for tb in tables:
         write_tablebase(tb, directory)
-
-
-def _solve_two_piece(rules: Ruleset) -> list:
-    built: dict = {}
-    for partition in all_partitions(2):
-        if partition.name in built:
-            continue
-        own, twin = solve_pair(partition, None, rules)
-        built[own.partition.name] = own
-        built[twin.partition.name] = twin
-    return [built[name] for name in sorted(built)]
 
 
 def _ensure_two_piece(config: Config, rules: Ruleset) -> TablebaseStore:
@@ -407,7 +398,7 @@ def cmd_solve(args, config: Config) -> int:
     rules = config.ruleset()
     started = time.perf_counter()
     if args.pieces == "2":
-        tables = _solve_two_piece(rules)
+        tables = TablebaseStore.build_two_piece(rules).all_tables()
         _write_all(tables, config.tablebase_dir)
     elif args.pieces == "3":
         store = _ensure_two_piece(config, rules)

@@ -259,14 +259,6 @@ def piece_code(color: int, kind: PieceKind) -> int:
     return int(kind) | color << 4
 
 
-def code_color(code: int) -> int:
-    return code >> 4
-
-
-def code_kind(code: int) -> PieceKind:
-    return PieceKind(code & 15)
-
-
 def piece_letter(code: int) -> str:
     letter = PIECE_LETTERS[code & 15]
     return letter if code >> 4 == WHITE else letter.lower()
@@ -399,6 +391,20 @@ def _generate(board, stm: int, rs: Ruleset) -> list[tuple[int, int, int]]:
                 elif tc >> 4 != stm and (kind >= (tc & 15) or trap_mask[dest]):
                     moves.append((sq, dest, tc))
     return moves
+
+
+def _has_move(board, stm: int, rs: Ruleset, squares) -> bool:
+    """Whether the side to move has a legal move; ``squares`` must include
+    every square it occupies (others are skipped).  An empty step
+    destination settles it without generating the moves."""
+    step_tables = _STEP_TABLE[stm]
+    for sq in squares:
+        code = board[sq]
+        if code and code >> 4 == stm:
+            for dest in step_tables[code & 15][sq]:
+                if not board[dest]:
+                    return True
+    return bool(_generate(board, stm, rs))
 
 
 def _den_or_elimination(board, stm: int) -> Outcome | None:

@@ -180,10 +180,13 @@ class TranspositionTable:
     """Fixed-size two-slot table: depth-preferred plus always-replace."""
 
     __slots__ = ("mask", "slots", "probes", "hits", "stores")
+    MIN_SIZE_LOG2 = 8
+    MAX_SIZE_LOG2 = 28
 
     def __init__(self, size_log2: int = 18) -> None:
-        if not 8 <= size_log2 <= 28:
-            raise ValueError("size_log2 must be in [8, 28]")
+        low, high = self.MIN_SIZE_LOG2, self.MAX_SIZE_LOG2
+        if not low <= size_log2 <= high:
+            raise ValueError(f"size_log2 must be in [{low}, {high}]")
         self.mask = (1 << size_log2) - 1
         self.slots: list[Optional[TTEntry]] = [None] * (2 << size_log2)
         self.probes = 0

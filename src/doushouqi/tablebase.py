@@ -18,29 +18,28 @@ from __future__ import annotations
 
 import os
 import struct
+from array import array
 from enum import IntEnum
+from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .rules import (
     BLACK,
+    BLACK_DEN,
     DEFAULT_RULESET,
     DENS,
     Move,
     NUM_SQUARES,
-    Outcome,
     PieceKind,
     Position,
     Ruleset,
     WHITE,
-    apply_move,
-    legal_moves,
     mirror_move,
     mirror_position,
     piece_code,
-    terminal_state,
     validate_position,
 )
-from .rules import PIECE_LETTERS, WATER_SQUARES, _MIRROR, _generate
+from .rules import PIECE_LETTERS, WATER_SQUARES, _MIRROR, _generate, _has_move
 
 MAGIC = b"DSQT"
 FORMAT_VERSION = 1
@@ -321,6 +320,13 @@ class _PairSpace:
             w *= len(lst)
         self.weights.reverse()
         self.capacity = w
+        # Piece i of the swapped partition's digit order is piece j here;
+        # its term is j's rank of the mirrored square times j's weight.
+        n, shift = len(self.pieces), len(partition.white)
+        self.mirror_terms = [
+            [self.rank_of[j][_MIRROR[sq]] * self.weights[j] for sq in range(NUM_SQUARES)]
+            for j in ((i + shift) % n for i in range(n))
+        ]
 
     def placements(self) -> Iterator[tuple[int, list[int]]]:
         """All collision-free placements as (radix index, squares)."""
@@ -338,16 +344,16 @@ class _PairSpace:
                 yield from rec(i + 1, base + rank * weight)
         yield from rec(0, 0)
 
+    def mirror_index(self, squares) -> int:
+        """Index here of the rank mirror, colours swapped, of a placement
+        of the swapped partition given as squares in its digit order."""
+        return sum(map(list.__getitem__, self.mirror_terms, squares))
 
-def _subgame_lookup(subgames, position: Position) -> tuple[Value, int]:
+
+def _subgame_lookup(subgames: Optional[TablebaseStore], position) -> tuple[Value, int]:
     canon, _ = canonicalize(position)
     part = Partition.of_position(canon)
-    table = None
-    if subgames is not None:
-        if isinstance(subgames, TablebaseStore):
-            table = subgames.tables.get(part.name)
-        else:
-            table = subgames.get(part.name) or subgames.get(part)
+    table = None if subgames is None else subgames.tables.get(part.name)
     if table is None:
         raise MissingPartitionError(
             f"capture target needs unsolved partition {part.name}"
@@ -504,22 +510,16 @@ def solve_pair(
         raise OverflowError("dtm exceeds the 14-bit entry field")
 
     # Pack the White-to-move half directly.
-    own = _pack_entries(value, dtm, 0, cap)
+    own = array("H", [value[i] | dtm[i] << 2 for i in range(cap)])
     own_tb = Tablebase(partition, rules.flag_word, own)
 
     # The Black-to-move half is the swapped partition through the mirror.
     swapped = partition.swapped
     twin_space = _PairSpace(swapped, rules)
-    twin = [Value.INVALID] * twin_space.capacity
+    twin_entries = array("H", [Value.INVALID]) * twin_space.capacity
     for twin_base, squares in twin_space.placements():
-        raw_base = 0
-        for i in range(len(squares)):
-            # Swapped piece order is the pair's black block then white block.
-            j = (i + len(partition.white)) % len(space.pieces)
-            raw_base += rank_of[j][_MIRROR[squares[i]]] * weights[j]
-        state = BLACK * cap + raw_base
-        twin[twin_base] = value[state] | dtm[state] << 2
-    twin_entries = _as_u16(twin)
+        state = BLACK * cap + space.mirror_index(squares)
+        twin_entries[twin_base] = value[state] | dtm[state] << 2
     if swapped == partition:
         if twin_entries != own:
             raise AssertionError(
@@ -531,19 +531,6 @@ def solve_pair(
     own_tb.sibling = twin_tb
     twin_tb.sibling = own_tb
     return own_tb, twin_tb
-
-
-def _pack_entries(value, dtm, start, count):
-    from array import array
-    out = array("H", bytes(2 * count))
-    for i in range(count):
-        out[i] = value[start + i] | dtm[start + i] << 2
-    return out
-
-
-def _as_u16(packed_list):
-    from array import array
-    return array("H", packed_list)
 
 
 def solve(
@@ -596,7 +583,6 @@ def write_tablebase(tablebase: Tablebase, directory: str) -> str:
 
 
 def read_tablebase(path: str) -> Tablebase:
-    from array import array
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size or raw[:4] != MAGIC:
@@ -618,81 +604,96 @@ def read_tablebase(path: str) -> Tablebase:
 
 # --- probing ----------------------------------------------------------------
 
-def _successor_view(
-    position: Position,
-    move: Move,
-    tablebase: Tablebase,
-    subgames,
-    rules: Ruleset,
-) -> tuple[Value, int]:
-    """Value/dtm of the position after move, from the new mover's view."""
-    succ = apply_move(position, move, rules)
-    outcome = terminal_state(succ, rules)
-    if outcome is not Outcome.ONGOING:
-        if outcome is Outcome.DRAW:
-            return Value.DRAW, 0
-        # Only the side that just moved can have won.
-        return Value.LOSS, 0
-    canon, _ = canonicalize(succ)
-    part = Partition.of_position(canon)
-    if part == tablebase.partition:
-        return tablebase.entry(index(canon, part))
-    if tablebase.sibling is not None and part == tablebase.sibling.partition:
-        return tablebase.sibling.entry(index(canon, part))
-    return _subgame_lookup(subgames, succ)
+_COLLISION = Value.INVALID             # packed Invalid(0)
+_BLOCKED = Value.INVALID | 1 << 2      # packed Invalid(1)
+
+
+def _successor_values(tablebase: Tablebase, space: _PairSpace, subgames, rules):
+    """Valuer of the moves from ``tablebase``'s placements, White to move
+    (``space`` is its _PairSpace); verify and best_move both use it.
+
+    ``value(board, squares, f, t, cap)`` plays a generated move on a raw
+    board whose pieces stand on ``squares`` (digit order), restores both,
+    and returns (value, dtm) for the new mover: Loss(0) after den entry or
+    taking the last piece; Draw(0) if the opponent cannot move; after a
+    capture, the entry of the smaller partition in ``subgames``; else the
+    twin table's entry at the mirrored index, with no Position built (read
+    through ``subgames`` when the table has no sibling).
+    """
+    swapped = tablebase.partition.swapped
+    twin_space = _PairSpace(swapped, rules)
+    twin = tablebase if swapped == tablebase.partition else tablebase.sibling
+    twin_entries = (
+        twin.entries if twin is not None and twin.partition == swapped else None
+    )
+    slot_of = {code: i for i, code in enumerate(space.codes)}
+    takes_last = len(tablebase.partition.black) == 1
+
+    def value(board, squares, f, t, cap):
+        if t == BLACK_DEN or cap and takes_last:
+            return Value.LOSS, 0
+        code = board[f]
+        board[f] = 0
+        board[t] = code
+        if not _has_move(board, BLACK, rules, squares):
+            result = Value.DRAW, 0
+        elif cap or twin_entries is None:
+            result = _subgame_lookup(subgames, Position(bytes(board), BLACK))
+        else:
+            slot = slot_of[code]
+            squares[slot] = t
+            packed = twin_entries[twin_space.mirror_index(squares)]
+            squares[slot] = f
+            result = packed & 3, packed >> 2
+        board[f] = code
+        board[t] = cap
+        return result
+    return value
 
 
 def best_move(
     tablebase: Tablebase,
     position: Position,
-    subgames=None,
+    subgames: Optional[TablebaseStore] = None,
     rules: Ruleset = DEFAULT_RULESET,
 ) -> Optional[Move]:
     """First generated move achieving the stored value with exact dtm."""
     value, dtm_here = tablebase.lookup(position)
     canon, mirrored = canonicalize(position)
-    moves = legal_moves(canon, rules)
+    space = _PairSpace(tablebase.partition, rules)
+    value_of = _successor_values(tablebase, space, subgames, rules)
+    board = bytearray(canon.board)
+    squares = [board.index(code) for code in space.codes]
+    moves = _generate(board, WHITE, rules)
     if not moves:
         return None
-    choice: Optional[Move] = None
+    views = ((move,) + value_of(board, squares, *move) for move in moves)
     if value is Value.WIN:
-        for move in moves:
-            succ_value, succ_dtm = _successor_view(
-                canon, move, tablebase, subgames, rules
-            )
-            if succ_value is Value.LOSS and succ_dtm == dtm_here - 1:
-                choice = move
-                break
+        choice = next(
+            (m for m, v, d in views if v == Value.LOSS and d == dtm_here - 1), None
+        )
     elif value is Value.DRAW:
-        for move in moves:
-            succ_value, _ = _successor_view(
-                canon, move, tablebase, subgames, rules
-            )
-            if succ_value is Value.DRAW:
-                choice = move
-                break
+        choice = next((m for m, v, _ in views if v == Value.DRAW), None)
     else:
-        best_delay = -1
-        for move in moves:
-            succ_value, succ_dtm = _successor_view(
-                canon, move, tablebase, subgames, rules
-            )
-            if succ_value is not Value.WIN:
+        choice, best_delay = None, -1
+        for move, succ_value, succ_dtm in views:
+            if succ_value != Value.WIN:
                 raise AssertionError("loss entry with a non-losing move")
             if succ_dtm > best_delay:
-                best_delay = succ_dtm
-                choice = move
+                choice, best_delay = move, succ_dtm
         if best_delay != dtm_here - 1:
             raise AssertionError("loss entry dtm does not match successors")
     if choice is None:
         raise AssertionError("stored value has no witness move")
-    return mirror_move(choice) if mirrored else choice
+    f, t, cap = choice
+    move = Move(f, t, bool(cap))
+    return mirror_move(move) if mirrored else move
 
 
 def probe(
     tablebase: Tablebase,
     position: Position,
-    subgames=None,
+    subgames: Optional[TablebaseStore] = None,
     rules: Ruleset = DEFAULT_RULESET,
 ) -> tuple[Value, int, Optional[Move]]:
     """Stored value/dtm plus a witness best move (see best_move)."""
@@ -705,79 +706,79 @@ def probe(
 
 def verify(
     tablebase: Tablebase,
-    subgames=None,
+    subgames: Optional[TablebaseStore] = None,
     rules: Ruleset = DEFAULT_RULESET,
     limit: int = 50,
 ) -> list[str]:
-    """Local-consistency audit of every valid entry via the public API.
+    """Local-consistency audit of every entry, in index order.
 
     Win(k) needs a witness successor Loss(k-1) and nothing faster; Loss(k)
     needs all successors Win with maximum k-1; Draw needs no winning move
     and a drawing one.  Collision slots must be Invalid(0) and blocked
-    placements (the mover has no move) Invalid(1).  Returns violations,
-    empty if sound, at most ``limit`` entries long.
+    placements (the mover has no move) Invalid(1).  Successors are valued
+    as best_move values them.  Returns violations, empty if sound, at most
+    ``limit`` entries long (but always the first one).
     """
-    violations: list[str] = []
+    name = tablebase.partition.name
+    found = _violations(tablebase, subgames, rules)
+    return [f"{name}[{idx}]: {message}"
+            for idx, message in islice(found, max(limit, 1))]
 
-    def note(idx: int, message: str) -> bool:
-        violations.append(f"{tablebase.partition.name}[{idx}]: {message}")
-        return len(violations) >= limit
 
-    for idx in range(tablebase.partition.capacity):
-        value, dtm_here = tablebase.entry(idx)
-        pos = unindex(idx, tablebase.partition)
-        if pos is None:
-            if (value, dtm_here) != (Value.INVALID, 0):
-                if note(idx, "collision slot not Invalid(0)"):
-                    return violations
-            continue
-        moves = legal_moves(pos, rules)
+def _violations(tablebase, subgames, rules) -> Iterator[tuple[int, str]]:
+    """(index, message) of each violation of verify, walking the slots in
+    index order on one reused board."""
+    space = _PairSpace(tablebase.partition, rules)
+    value_of = _successor_values(tablebase, space, subgames, rules)
+    entries = tablebase.entries
+    board = bytearray(NUM_SQUARES)
+    checked = 0                       # every slot below this is audited
+    for base, squares in space.placements():
+        for idx in range(checked, base):
+            if entries[idx] != _COLLISION:
+                yield idx, "collision slot not Invalid(0)"
+        checked = base + 1
+        for code, sq in zip(space.codes, squares):
+            board[sq] = code
+        packed = entries[base]
+        value, dtm_here = packed & 3, packed >> 2
+        moves = _generate(board, WHITE, rules)
         if not moves:
-            if (value, dtm_here) != (Value.INVALID, 1):
-                if note(idx, f"blocked placement stored as {value.name}({dtm_here})"):
-                    return violations
-            continue
-        if value is Value.INVALID:
-            if note(idx, "movable placement stored as Invalid"):
-                return violations
-            continue
-        fastest_win = None
-        slowest_reply = -1
-        all_wins = True
-        has_draw = False
-        for move in moves:
-            succ_value, succ_dtm = _successor_view(
-                pos, move, tablebase, subgames, rules
-            )
-            if succ_value is Value.LOSS:
-                win_in = succ_dtm + 1
-                if fastest_win is None or win_in < fastest_win:
-                    fastest_win = win_in
-                all_wins = False
-            elif succ_value is Value.DRAW:
-                has_draw = True
-                all_wins = False
-            else:
-                slowest_reply = max(slowest_reply, succ_dtm)
-        if value is Value.WIN:
-            if fastest_win != dtm_here:
-                if note(idx, f"Win({dtm_here}) but fastest line is {fastest_win}"):
-                    return violations
-        elif value is Value.LOSS:
-            if fastest_win is not None or has_draw or not all_wins:
-                if note(idx, f"Loss({dtm_here}) with an escape move"):
-                    return violations
-            elif slowest_reply + 1 != dtm_here:
-                if note(idx, f"Loss({dtm_here}) but best delay is {slowest_reply + 1}"):
-                    return violations
+            if packed != _BLOCKED:
+                yield base, (f"blocked placement stored as "
+                             f"{Value(value).name}({dtm_here})")
+        elif value == Value.INVALID:
+            yield base, "movable placement stored as Invalid"
         else:
-            if fastest_win is not None:
-                if note(idx, "Draw with a winning move"):
-                    return violations
+            fastest_win = None
+            slowest_reply = -1
+            has_draw = False
+            for f, t, cap in moves:
+                succ_value, succ_dtm = value_of(board, squares, f, t, cap)
+                if succ_value == Value.LOSS:
+                    if fastest_win is None or succ_dtm + 1 < fastest_win:
+                        fastest_win = succ_dtm + 1
+                elif succ_value == Value.DRAW:
+                    has_draw = True
+                elif succ_dtm > slowest_reply:
+                    slowest_reply = succ_dtm
+            if value == Value.WIN:
+                if fastest_win != dtm_here:
+                    yield base, f"Win({dtm_here}) but fastest line is {fastest_win}"
+            elif value == Value.LOSS:
+                if fastest_win is not None or has_draw:
+                    yield base, f"Loss({dtm_here}) with an escape move"
+                elif slowest_reply + 1 != dtm_here:
+                    yield base, f"Loss({dtm_here}) but best delay is {slowest_reply + 1}"
+            elif fastest_win is not None:
+                yield base, "Draw with a winning move"
             elif not has_draw:
-                if note(idx, "Draw without a drawing move"):
-                    return violations
-    return violations
+                yield base, "Draw without a drawing move"
+        for sq in squares:
+            board[sq] = 0
+    for idx in range(checked, space.capacity):
+        if entries[idx] != _COLLISION:
+            yield idx, "collision slot not Invalid(0)"
 
 
 # --- store ------------------------------------------------------------------
@@ -860,10 +861,6 @@ class TablebaseStore:
     def probe(self, position: Position):
         table = self._table_for(position)
         return probe(table, position, subgames=self)
-
-    def get(self, name):
-        # Mapping hook for _subgame_lookup.
-        return self.tables.get(name)
 
     def all_tables(self) -> list[Tablebase]:
         return [tb for _, tb in sorted(self.tables.items())]

@@ -1,4 +1,4 @@
-"""Shared test plumbing: the solved 2-piece store and the acceptance log.
+"""Shared test plumbing: solved tables and the acceptance log.
 
 Criterion tests record one PASS/FAIL line each through the ``report``
 fixture; the terminal-summary hook replays them after the run, outside
@@ -7,7 +7,7 @@ pytest's output capture, so the verdicts always land in the log.
 
 import pytest
 
-from doushouqi.tablebase import TablebaseStore
+from doushouqi.tablebase import Partition, TablebaseStore, solve_pair
 
 _ACCEPTANCE_LINES = []
 
@@ -16,6 +16,13 @@ _ACCEPTANCE_LINES = []
 def two_piece_store() -> TablebaseStore:
     """All 64 two-piece tables, solved once per test session."""
     return TablebaseStore.build_two_piece()
+
+
+@pytest.fixture(scope="session")
+def p_tl_pair(two_piece_store):
+    """The 3-piece pair P_tl / TL_p: blocked placements and captures into
+    2-piece subgames."""
+    return solve_pair(Partition.from_name("P_tl"), subgames=two_piece_store)
 
 
 @pytest.fixture

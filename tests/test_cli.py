@@ -18,7 +18,7 @@ from doushouqi.cli import (
     load_config,
     main,
 )
-from doushouqi.search import alphabeta, minimax
+from doushouqi.search import MAX_PLY, TranspositionTable, alphabeta, minimax
 from doushouqi.rules import position_from_text
 
 FACING_ELEPHANTS = "7/7/3e3/7/7/7/3E3/7/7 w"
@@ -83,6 +83,13 @@ def test_search_matches_library(capsys):
     row = cells(out[0])
     reference = alphabeta(position_from_text(mining_initial_text()), 3)
     assert int(row[0]) == reference.score
+
+
+@pytest.mark.parametrize("depth", ("-1", str(MAX_PLY + 1), "200"))
+def test_search_depth_outside_the_ply_limit(capsys, depth):
+    rc, out, err = run(capsys, "search", "initial", depth)
+    assert rc == EXIT_USAGE and out == []
+    assert f"depth {depth} " in err and "Traceback" not in err
 
 
 def mining_initial_text():
@@ -395,6 +402,11 @@ def test_config_precedence(tmp_path):
     assert config.threads == 1
 
 
+def test_config_tt_size_range_is_the_tables():
+    for size in (TranspositionTable.MIN_SIZE_LOG2, TranspositionTable.MAX_SIZE_LOG2):
+        assert load_config(None, [f"tt_size_log2={size}"]).tt_size_log2 == size
+
+
 def test_config_ruleset_flag_word(tmp_path):
     config = load_config(None, ["rat_from_water_captures_elephant=true"])
     assert config.ruleset().flag_word == 7
@@ -419,6 +431,8 @@ def test_config_file_rejects(tmp_path, capsys, text):
 @pytest.mark.parametrize("override", [
     "tt_size_log2=30",
     "tt_size_log2=2",
+    "tt_size_log2=5",
+    "tt_size_log2=29",
     "threads=0",
     "zobrist_seed=-1",
     "tablebase_dir=",

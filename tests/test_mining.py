@@ -122,7 +122,7 @@ def test_runs_through_the_target_den_do_not_count():
 
 
 def test_definitional_identities_hold_everywhere(two_piece_store):
-    tb = two_piece_store.get("R_e")
+    tb = two_piece_store.tables["R_e"]
     for _, pos in tb.positions():
         fv = extract_features(pos)
         assert fv.parity == fv.distance_p % 2
@@ -154,22 +154,22 @@ def test_labels():
 def test_equal_material_tree_is_perfect(two_piece_store):
     tree = equal_material_tree()
     for name in ("E_e", "P_p", "D_d", "W_w", "C_c"):
-        assert evaluate_tree(tree, two_piece_store.get(name)) == 0, name
+        assert evaluate_tree(tree, two_piece_store.tables[name]) == 0, name
 
 
 def test_equal_material_tree_is_wrong_for_leapers(two_piece_store):
     # Leaps reverse parity; the simple equal-material rule misfires often.
-    assert evaluate_tree(equal_material_tree(), two_piece_store.get("T_t")) > 0
+    assert evaluate_tree(equal_material_tree(), two_piece_store.tables["T_t"]) > 0
 
 
 def test_lion_vs_elephant_tree_misses_sixteen(two_piece_store):
-    assert evaluate_tree(lion_vs_elephant_tree(), two_piece_store.get("L_e")) == 16
+    assert evaluate_tree(lion_vs_elephant_tree(), two_piece_store.tables["L_e"]) == 16
 
 
 def test_black_stronger_tree_is_perfect(two_piece_store):
     tree = black_stronger_tree()
     for name in ("C_d", "C_w", "C_p", "C_e", "W_d", "W_p", "W_e", "D_p", "D_e", "P_e"):
-        assert evaluate_tree(tree, two_piece_store.get(name)) == 0, name
+        assert evaluate_tree(tree, two_piece_store.tables[name]) == 0, name
 
 
 def test_tree_misclassification_example(two_piece_store):
@@ -177,7 +177,7 @@ def test_tree_misclassification_example(two_piece_store):
     # on the board: the top-sector elephant still levers the lion away.
     pos = make_position(("g5", PieceKind.LION), ("d7", PieceKind.ELEPHANT))
     assert classify(lion_vs_elephant_tree(), extract_features(pos)) == DRAW
-    value, _ = two_piece_store.get("L_e").lookup(pos)
+    value, _ = two_piece_store.tables["L_e"].lookup(pos)
     assert value is Value.LOSS
 
 
@@ -189,15 +189,15 @@ def test_equal_tree_classifies_facing_elephants():
 
 
 def test_draw_census(two_piece_store):
-    assert partition_draw_census(two_piece_store.get("E_e")) == 0
-    assert partition_draw_census(two_piece_store.get("T_t")) == 0
+    assert partition_draw_census(two_piece_store.tables["E_e"]) == 0
+    assert partition_draw_census(two_piece_store.tables["T_t"]) == 0
     total = sum(partition_draw_census(tb) for tb in two_piece_store.all_tables())
     assert total == 12_715
 
 
 def test_majority_leaf_count_identity(two_piece_store):
     # A single-leaf tree misses exactly the non-majority positions.
-    tb = two_piece_store.get("C_e")
+    tb = two_piece_store.tables["C_e"]
     examples = partition_examples(tb)
     labels = [ex.label for ex in examples]
     majority = max(set(labels), key=labels.count)
@@ -296,7 +296,7 @@ def test_unseen_branch_values_inherit_majority():
 
 
 def test_induced_equal_partition_tree_is_perfect(two_piece_store):
-    tb = two_piece_store.get("E_e")
+    tb = two_piece_store.tables["E_e"]
     examples = partition_examples(tb)
     tree = induce_tree(
         examples, features=("closest", "unopposed_w", "unopposed_b", "parity")
@@ -306,7 +306,7 @@ def test_induced_equal_partition_tree_is_perfect(two_piece_store):
 
 
 def test_induction_reaches_zero_when_features_determine_labels(two_piece_store):
-    tb = two_piece_store.get("C_e")
+    tb = two_piece_store.tables["C_e"]
     examples = partition_examples(tb)
     tree = induce_tree(examples)
     training_errors = sum(
@@ -329,7 +329,7 @@ def test_tree_text_round_trips():
 
 
 def test_induced_tree_round_trips(two_piece_store):
-    tb = two_piece_store.get("W_e")
+    tb = two_piece_store.tables["W_e"]
     tree = induce_tree(partition_examples(tb))
     assert parse_tree(format_tree(tree)) == tree
 
@@ -364,7 +364,7 @@ def test_parse_rejects_malformed_text(text):
 
 
 def test_example_lines_format(two_piece_store):
-    tb = two_piece_store.get("C_e")
+    tb = two_piece_store.tables["C_e"]
     lines = list(example_lines(tb))
     assert len(lines) == 2352
     for line in itertools.islice(lines, 5):

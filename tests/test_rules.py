@@ -40,6 +40,7 @@ from doushouqi.rules import (
     terrain_at,
     validate_position,
 )
+from doushouqi.rules import _generate, _has_move
 
 RNG_SEED = 20120711
 
@@ -339,6 +340,29 @@ def test_stalemate_is_draw():
     )
     assert legal_moves(pos) == []
     assert terminal_state(pos) is Outcome.DRAW
+
+
+def test_has_move_agrees_with_generate():
+    # _has_move settles most boards by an empty step destination; check it
+    # against the full move list on playouts and on random 3-4 piece boards
+    # crowded into the a1 corner, where pieces get boxed in.
+    rng = random.Random(RNG_SEED + 4)
+    boards = [bytearray(random_playout(rng, 60).board) for _ in range(30)]
+    corner = [parse_square(name) for name in ("a1", "a2", "a3", "b1", "b2", "c1")]
+    codes = [piece_code(c, k) for c in (WHITE, BLACK) for k in PieceKind]
+    for _ in range(3000):
+        board = bytearray(63)
+        for sq, code in zip(rng.sample(corner, 6), rng.sample(codes, rng.randrange(3, 5))):
+            board[sq] = code
+        boards.append(board)
+    blocked = 0
+    for board in boards:
+        squares = [sq for sq in range(63) if board[sq]]
+        for stm in (WHITE, BLACK):
+            moves = _generate(board, stm, DEFAULT_RULESET)
+            assert _has_move(board, stm, DEFAULT_RULESET, squares) == bool(moves)
+            blocked += not moves and any(board[sq] >> 4 == stm for sq in squares)
+    assert blocked >= 10
 
 
 def test_validate_position_rejects_bad_boards():

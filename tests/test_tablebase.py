@@ -346,12 +346,12 @@ def test_three_piece_partition_agrees_with_forward_search(two_piece_store):
         checked += 1
 
 
-def test_blocked_placements_sit_outside_the_universe(two_piece_store):
+def test_blocked_placements_sit_outside_the_universe(two_piece_store, p_tl_pair):
     # A lone pig boxed in by tiger plus lion: 15 boxable squares, two
     # blocker arrangements each.  Such placements are terminal draws and
     # get the Invalid(1) marker instead of an entry.
-    part = Partition.from_name("P_tl")
-    tb, _ = solve_pair(part, subgames=two_piece_store)
+    tb, _ = p_tl_pair
+    part = tb.partition
     blocked = [
         idx for idx in range(part.capacity)
         if tb.entry(idx) == (Value.INVALID, 1)
