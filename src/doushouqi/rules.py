@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cache, cached_property
 from typing import Iterator
 
 WHITE = 0
@@ -105,6 +106,12 @@ class Ruleset:
             raise ValueError(f"unknown rule-variant flag word {word}")
         return cls(bool(word & 1), bool(word & 2), bool(word & 4))
 
+    @cached_property
+    def _move_table(self):
+        # Shared per flag word; kept on the instance so that _generate
+        # reaches it without hashing the dataclass.
+        return _build_move_table(self.flag_word)
+
 
 DEFAULT_RULESET = Ruleset()
 
@@ -180,9 +187,6 @@ def terrain_at(sq: int) -> Terrain:
 
 
 _IS_WATER = bytes(1 if sq in WATER_SQUARES else 0 for sq in range(NUM_SQUARES))
-_TRAP_MASK = tuple(
-    bytes(1 if sq in TRAPS[c] else 0 for sq in range(NUM_SQUARES)) for c in (WHITE, BLACK)
-)
 
 
 def _neighbors(sq: int) -> list[int]:
@@ -202,36 +206,11 @@ def _neighbors(sq: int) -> list[int]:
 NEIGHBORS = tuple(tuple(_neighbors(sq)) for sq in range(NUM_SQUARES))
 
 
-def _build_steps(color: int, swims: bool) -> tuple[tuple[int, ...], ...]:
-    # Own den is never enterable; water is rat-only.
-    table = []
-    for sq in range(NUM_SQUARES):
-        dests = [
-            d
-            for d in NEIGHBORS[sq]
-            if d != DENS[color] and (swims or not _IS_WATER[d])
-        ]
-        table.append(tuple(dests))
-    return tuple(table)
-
-
-def _step_tables() -> tuple[tuple, tuple]:
-    out = []
-    for color in (WHITE, BLACK):
-        rat = _build_steps(color, True)
-        nonrat = _build_steps(color, False)
-        # Index by PieceKind; every kind but the rat shares the land-only table.
-        out.append((None, rat) + (nonrat,) * 7)
-    return tuple(out)
-
-
-_STEP_TABLE = _step_tables()
-
-
-def _build_leaps() -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+def _build_leaps() -> tuple[tuple[tuple[int, slice], ...], ...]:
     # From a bank square, walk each direction across consecutive water squares;
     # the landing square is the first non-water square. Rivers are bounded, so
-    # the walk always lands on the board.
+    # the walk always lands on the board. Each leap is (landing, slice of
+    # the board over the water squares crossed).
     table = []
     for sq in range(NUM_SQUARES):
         if _IS_WATER[sq]:
@@ -247,7 +226,8 @@ def _build_leaps() -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
                 nf += df
                 nr += dr
             if mids:
-                edges.append((nr * NUM_FILES + nf, tuple(mids)))
+                crossed = slice(min(mids), max(mids) + 1, abs(df + dr * NUM_FILES))
+                edges.append((nr * NUM_FILES + nf, crossed))
         table.append(tuple(sorted(edges)))
     return tuple(table)
 
@@ -343,66 +323,98 @@ def can_capture(
     return attacker >= defender
 
 
+@cache
+def _build_move_table(flag_word: int) -> tuple[tuple, tuple]:
+    """Move table of one rule variant, indexed [piece code][square].
+
+    Steps are (dest, row) and tiger/lion leaps (dest, crossed, row), in
+    _generate's order; ``crossed`` slices the river squares a leap crosses.
+    ``row[target code]`` is 1 when the piece may move onto a square holding
+    that code: an empty square (code 0), or an enemy piece that can_capture
+    allows from this square to that one.  Own pieces read 0.
+    """
+    rules = Ruleset.from_flag_word(flag_word)
+    rows: dict[tuple, bytes] = {}
+
+    def row(code: int, sq: int, dest: int) -> bytes:
+        color, kind = code >> 4, PieceKind(code & 15)
+        key = (code, _IS_WATER[sq], _IS_WATER[dest], dest in TRAPS[color])
+        if key not in rows:
+            out = bytearray(32)
+            out[0] = 1
+            for target in PieceKind:
+                out[piece_code(color ^ 1, target)] = can_capture(
+                    kind, target, attacker_in_water=key[1],
+                    defender_in_water=key[2], defender_on_attacker_trap=key[3],
+                    rules=rules,
+                )
+            rows[key] = bytes(out)
+        return rows[key]
+
+    steps: list = [()] * 25
+    leaps: list = [()] * 25
+    for color in (WHITE, BLACK):
+        for kind in PieceKind:
+            code = piece_code(color, kind)
+            # Own den is never enterable; water is rat-only.
+            steps[code] = tuple(
+                tuple(
+                    (d, row(code, sq, d)) for d in NEIGHBORS[sq]
+                    if d != DENS[color] and (kind == PieceKind.RAT or not _IS_WATER[d])
+                )
+                for sq in range(NUM_SQUARES)
+            )
+            leaper = kind in (PieceKind.TIGER, PieceKind.LION)
+            leaps[code] = tuple(
+                tuple((d, crossed, row(code, sq, d)) for d, crossed in _LEAPS[sq])
+                if leaper else ()
+                for sq in range(NUM_SQUARES)
+            )
+    return tuple(steps), tuple(leaps)
+
+
+# Translation tables mapping the side's own piece codes to 1, all else to 0.
+_OWN = tuple(
+    bytes(1 if code >> 4 == color and 1 <= code & 15 <= 8 else 0 for code in range(256))
+    for color in (WHITE, BLACK)
+)
+
+
 def _generate(board, stm: int, rs: Ruleset) -> list[tuple[int, int, int]]:
     """All legal (from, to, captured_code) triples for the side to move.
 
     Deterministic order: pieces by ascending square; per piece, steps before
     leaps, destinations ascending within each group.
     """
+    steps, leaps = rs._move_table
     moves = []
-    step_tables = _STEP_TABLE[stm]
-    trap_mask = _TRAP_MASK[stm]
-    is_water = _IS_WATER
-    for sq in range(NUM_SQUARES):
+    own = board.translate(_OWN[stm])
+    sq = own.find(1)
+    while sq >= 0:
         code = board[sq]
-        if not code or code >> 4 != stm:
-            continue
-        kind = code & 15
-        for dest in step_tables[kind][sq]:
+        for dest, row in steps[code][sq]:
             tc = board[dest]
-            if not tc:
-                moves.append((sq, dest, 0))
-            elif tc >> 4 != stm:
-                dk = tc & 15
-                if trap_mask[dest]:
-                    ok = True
-                elif kind == 1 and dk == 8:
-                    ok = not is_water[sq] or rs.rat_from_water_captures_elephant
-                elif is_water[sq] and not is_water[dest]:
-                    ok = rs.rat_capture_from_water_to_land and kind >= dk
-                elif is_water[dest] and not is_water[sq]:
-                    ok = rs.rat_capture_into_water and kind >= dk
-                else:
-                    ok = kind >= dk
-                if ok:
-                    moves.append((sq, dest, tc))
-        if kind == 6 or kind == 7:
-            for dest, mids in _LEAPS[sq]:
-                blocked = False
-                for m in mids:
-                    if board[m]:
-                        blocked = True
-                        break
-                if blocked:
-                    continue
+            if row[tc]:
+                moves.append((sq, dest, tc))
+        for dest, crossed, row in leaps[code][sq]:
+            if not any(board[crossed]):
                 tc = board[dest]
-                if not tc:
-                    moves.append((sq, dest, 0))
-                elif tc >> 4 != stm and (kind >= (tc & 15) or trap_mask[dest]):
+                if row[tc]:
                     moves.append((sq, dest, tc))
+        sq = own.find(1, sq + 1)
     return moves
 
 
 def _has_move(board, stm: int, rs: Ruleset, squares) -> bool:
     """Whether the side to move has a legal move; ``squares`` must include
-    every square it occupies (others are skipped).  An empty step
-    destination settles it without generating the moves."""
-    step_tables = _STEP_TABLE[stm]
+    every square it occupies (others are skipped).  A legal step settles
+    it without generating the moves."""
+    steps = rs._move_table[0]
     for sq in squares:
         code = board[sq]
         if code and code >> 4 == stm:
-            for dest in step_tables[code & 15][sq]:
-                if not board[dest]:
+            for dest, row in steps[code][sq]:
+                if row[board[dest]]:
                     return True
     return bool(_generate(board, stm, rs))
 
@@ -594,6 +606,10 @@ def initial_position() -> Position:
     return position_from_text(INITIAL_POSITION_TEXT)
 
 
+# Side-to-move byte that ends a repetition-history key (board + side).
+_SIDE_BYTE = (bytes([WHITE]), bytes([BLACK]))
+
+
 def perft(position: Position, depth: int, rules: Ruleset = DEFAULT_RULESET) -> int:
     """Leaf count of the depth-limited minimax tree.
 
@@ -612,7 +628,7 @@ def perft(position: Position, depth: int, rules: Ruleset = DEFAULT_RULESET) -> i
     for code in board:
         if code:
             counts[code >> 4] += 1
-    history = {bytes(board) + bytes([position.stm])}
+    history = {bytes(board) + _SIDE_BYTE[position.stm]}
     return _perft(board, position.stm, depth, counts, rules, history)
 
 
@@ -641,13 +657,14 @@ def _perft(
         return len(moves)
     total = 0
     other = stm ^ 1
+    side = _SIDE_BYTE[other]
     for f, t, cap in moves:
         pc = board[f]
         board[f] = 0
         board[t] = pc
         if cap:
             counts[other] -= 1
-        key = bytes(board) + bytes([other])
+        key = bytes(board) + side
         if key in history:
             total += 1
         else:

@@ -1,8 +1,8 @@
 """Depth-limited game-tree search over the rules kernel.
 
 Provides plain minimax (the counting/value oracle), alpha-beta with Zobrist
-hashing and a two-slot transposition table, a pluggable evaluation function,
-and a probing search that substitutes exact endgame-table values for
+hashing and a two-slot transposition table, piece-square evaluators, and a
+probing search that substitutes exact endgame-table values for
 subtrees.
 
 Scores are centipiece-scaled integers from White's perspective.  Proven
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from enum import IntEnum
-from typing import Callable, NamedTuple, Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 from .rules import (
     BLACK_DEN,
@@ -37,7 +37,7 @@ from .rules import (
     square_rank,
     validate_position,
 )
-from .rules import _generate
+from .rules import _SIDE_BYTE, _generate
 
 WIN_SCORE = 1_000_000
 MATE_BOUND = 900_000
@@ -52,57 +52,39 @@ def _den_distance(sq: int, den: int) -> int:
     )
 
 
-def _build_eval_tables() -> tuple[list[int], list[int]]:
-    # Flat tables indexed code * 63 + square, White-positive.
-    material_den = [0] * (25 * NUM_SQUARES)
-    material = [0] * (25 * NUM_SQUARES)
+def _build_eval_tables() -> dict[str, list[list[int]]]:
+    # Piece-square tables indexed [code][square], White-positive.
+    material_den = [[0] * NUM_SQUARES for _ in range(25)]
+    material = [[0] * NUM_SQUARES for _ in range(25)]
     for code in list(range(1, 9)) + list(range(17, 25)):
         kind = code & 15
         sign = 1 if code < 16 else -1
         target = BLACK_DEN if code < 16 else WHITE_DEN
         for sq in range(NUM_SQUARES):
-            base = code * NUM_SQUARES + sq
-            material[base] = sign * kind * 100
-            material_den[base] = sign * (kind * 100 + 11 - _den_distance(sq, target))
-    return material_den, material
+            material[code][sq] = sign * kind * 100
+            material_den[code][sq] = sign * (kind * 100 + 11 - _den_distance(sq, target))
+    return {"material-den": material_den, "material": material}
 
 
-_EVAL_MATERIAL_DEN, _EVAL_MATERIAL = _build_eval_tables()
+EVALUATORS: dict[str, list[list[int]]] = _build_eval_tables()
 
 
-def _eval_white_material_den(board: bytes) -> int:
-    table = _EVAL_MATERIAL_DEN
-    total = 0
-    for sq in range(NUM_SQUARES):
-        code = board[sq]
-        if code:
-            total += table[code * NUM_SQUARES + sq]
-    return total
-
-
-def _eval_white_material(board: bytes) -> int:
-    table = _EVAL_MATERIAL
-    total = 0
-    for sq in range(NUM_SQUARES):
-        code = board[sq]
-        if code:
-            total += table[code * NUM_SQUARES + sq]
-    return total
-
-
-EVALUATORS: dict[str, Callable[[bytes], int]] = {
-    "material-den": _eval_white_material_den,
-    "material": _eval_white_material,
-}
-
-
-def get_evaluator(name: str) -> Callable[[bytes], int]:
+def get_evaluator(name: str) -> list[list[int]]:
     try:
         return EVALUATORS[name]
     except KeyError:
         raise KeyError(
             f"unknown evaluator {name!r}; available: {sorted(EVALUATORS)}"
         ) from None
+
+
+def _scan(table: list[list[int]], board) -> int:
+    """White's evaluation of a board: its pieces' entries in ``table``."""
+    total = 0
+    for sq, code in enumerate(board):
+        if code:
+            total += table[code][sq]
+    return total
 
 
 def evaluate(position: Position, evaluator: str = "material-den") -> int:
@@ -113,7 +95,7 @@ def evaluate(position: Position, evaluator: str = "material-den") -> int:
     advancing toward the den is worth at most one tenth of the weakest
     piece.  Anti-symmetric under the color mirror.
     """
-    return get_evaluator(evaluator)(position.board)
+    return _scan(get_evaluator(evaluator), position.board)
 
 
 class Zobrist:
@@ -277,7 +259,7 @@ def _negamax(
     ply: int,
     counts: list[int],
     rs: Ruleset,
-    eval_white: Callable[[bytes], int],
+    pst: list[list[int]],
     history: dict[bytes, int],
     stats: _Stats,
 ) -> int:
@@ -288,7 +270,7 @@ def _negamax(
         return terminal
     if depth == 0:
         stats.leaves += 1
-        score = eval_white(board)
+        score = _scan(pst, board)
         return score if stm == WHITE else -score
     moves = _generate(board, stm, rs)
     if not moves:
@@ -296,6 +278,7 @@ def _negamax(
         return 0
     best = -WIN_SCORE - 1
     other = stm ^ 1
+    side = _SIDE_BYTE[other]
     expand = depth >= 2
     for f, t, cap in moves:
         pc = board[f]
@@ -304,7 +287,7 @@ def _negamax(
         if cap:
             counts[other] -= 1
         if expand:
-            key = bytes(board) + bytes([other])
+            key = bytes(board) + side
             if key in history:
                 stats.leaves += 1
                 stats.nodes += 1
@@ -313,13 +296,13 @@ def _negamax(
                 history[key] = ply + 1
                 value = -_negamax(
                     board, other, depth - 1, ply + 1, counts, rs,
-                    eval_white, history, stats,
+                    pst, history, stats,
                 )
                 del history[key]
         else:
             value = -_negamax(
                 board, other, depth - 1, ply + 1, counts, rs,
-                eval_white, history, stats,
+                pst, history, stats,
             )
         if cap:
             counts[other] += 1
@@ -343,7 +326,7 @@ def minimax(
     if depth < 0:
         raise ValueError("depth must be >= 0")
     validate_position(position)
-    eval_white = get_evaluator(evaluator)
+    pst = get_evaluator(evaluator)
     board = bytearray(position.board)
     counts = _piece_counts(board)
     stats = _Stats()
@@ -352,7 +335,7 @@ def minimax(
     if terminal is not None or depth == 0:
         score = _negamax(
             board, stm, 0 if terminal is None else depth, 0, counts, rules,
-            eval_white, {}, stats,
+            pst, {}, stats,
         )
         white_score = score if stm == WHITE else -score
         return SearchResult(white_score, None, stats.leaves, stats.nodes)
@@ -362,7 +345,7 @@ def minimax(
         stats.leaves += 1
         return SearchResult(0, None, stats.leaves, stats.nodes)
     stats.nodes += 1
-    history = {bytes(board) + bytes([stm]): 0}
+    history = {bytes(board) + _SIDE_BYTE[stm]: 0}
     best = -WIN_SCORE - 1
     best_move: Optional[Move] = None
     other = stm ^ 1
@@ -373,7 +356,7 @@ def minimax(
         if cap:
             counts[other] -= 1
         if depth >= 2:
-            key = bytes(board) + bytes([other])
+            key = bytes(board) + _SIDE_BYTE[other]
             if key in history:
                 stats.leaves += 1
                 stats.nodes += 1
@@ -382,13 +365,13 @@ def minimax(
                 history[key] = 1
                 value = -_negamax(
                     board, other, depth - 1, 1, counts, rules,
-                    eval_white, history, stats,
+                    pst, history, stats,
                 )
                 del history[key]
         else:
             value = -_negamax(
                 board, other, depth - 1, 1, counts, rules,
-                eval_white, history, stats,
+                pst, history, stats,
             )
         if cap:
             counts[other] += 1
@@ -403,21 +386,21 @@ def minimax(
 
 class _ABContext:
     __slots__ = (
-        "rs", "eval_white", "tt", "z", "ps", "side_key", "depth_keys",
+        "rs", "pst", "tt", "z", "ps", "side_key", "depth_keys",
         "mate_tag", "stats", "history", "counts", "probe_store",
     )
 
     def __init__(
         self,
         rs: Ruleset,
-        eval_white: Callable[[bytes], int],
+        pst: list[list[int]],
         tt: Optional[TranspositionTable],
         z: Zobrist,
         counts: list[int],
         probe_store: Optional[ProbeStore],
     ) -> None:
         self.rs = rs
-        self.eval_white = eval_white
+        self.pst = pst
         self.tt = tt
         self.z = z
         self.ps = z.piece_square
@@ -472,12 +455,14 @@ def _alphabeta(
     alpha: int,
     beta: int,
     zkey: int,
+    ev: int,
 ) -> tuple[int, int]:
     """Returns (mover-perspective score, shallowest ply any cycle reached).
 
-    The second value is MAX_PLY when the subtree value is independent of the
-    path above this node; entries are stored only in that case, which keeps
-    the table free of history-dependent scores.
+    ``ev`` is White's evaluation of ``board``, kept up to date move by move
+    like ``zkey``.  The second value is MAX_PLY when the subtree value is
+    independent of the path above this node; entries are stored only in
+    that case, which keeps the table free of history-dependent scores.
     """
     stats = ctx.stats
     stats.nodes += 1
@@ -493,8 +478,7 @@ def _alphabeta(
             return probe, MAX_PLY
     if depth == 0:
         stats.leaves += 1
-        score = ctx.eval_white(bytes(board))
-        return (score if stm == WHITE else -score), MAX_PLY
+        return (ev if stm == WHITE else -ev), MAX_PLY
     tt = ctx.tt
     tt_move: Optional[tuple[int, int]] = None
     alpha_orig = alpha
@@ -537,20 +521,23 @@ def _alphabeta(
     best_move: Optional[tuple[int, int]] = None
     min_cycle = MAX_PLY
     other = stm ^ 1
+    side = _SIDE_BYTE[other]
     ps = ctx.ps
+    pst = ctx.pst
     expand = depth >= 2
     history = ctx.history
     for f, t, cap in moves:
         pc = board[f]
         board[f] = 0
         board[t] = pc
+        child_key = zkey ^ ps[pc][f] ^ ps[pc][t] ^ ctx.side_key
+        child_ev = ev - pst[pc][f] + pst[pc][t]
         if cap:
             counts[other] -= 1
-        child_key = zkey ^ ps[pc][f] ^ ps[pc][t] ^ ctx.side_key
-        if cap:
             child_key ^= ps[cap][t]
+            child_ev -= pst[cap][t]
         if expand:
-            hkey = bytes(board) + bytes([other])
+            hkey = bytes(board) + side
             seen_ply = history.get(hkey)
             if seen_ply is not None:
                 stats.leaves += 1
@@ -562,7 +549,7 @@ def _alphabeta(
                 history[hkey] = ply + 1
                 value, cycle = _alphabeta(
                     ctx, board, other, depth - 1, ply + 1,
-                    -beta, -alpha, child_key,
+                    -beta, -alpha, child_key, child_ev,
                 )
                 value = -value
                 del history[hkey]
@@ -570,7 +557,8 @@ def _alphabeta(
                     min_cycle = cycle
         else:
             value, cycle = _alphabeta(
-                ctx, board, other, depth - 1, ply + 1, -beta, -alpha, child_key,
+                ctx, board, other, depth - 1, ply + 1,
+                -beta, -alpha, child_key, child_ev,
             )
             value = -value
         if cap:
@@ -618,10 +606,10 @@ def _run_alphabeta(
     validate_position(position)
     if z is None:
         z = _SHARED_ZOBRIST
-    eval_white = get_evaluator(evaluator)
+    pst = get_evaluator(evaluator)
     board = bytearray(position.board)
     counts = _piece_counts(board)
-    ctx = _ABContext(rules, eval_white, table, z, counts, probe_store)
+    ctx = _ABContext(rules, pst, table, z, counts, probe_store)
     stats = ctx.stats
     stm = position.stm
     terminal = _terminal_score(counts, board, stm, 0)
@@ -630,11 +618,11 @@ def _run_alphabeta(
         stats.leaves += 1
         white_score = terminal if stm == WHITE else -terminal
         return SearchResult(white_score, None, stats.leaves, stats.nodes)
+    ev = _scan(pst, board)
     if depth == 0:
         stats.nodes += 1
         stats.leaves += 1
-        score = eval_white(position.board)
-        return SearchResult(score, None, stats.leaves, stats.nodes)
+        return SearchResult(ev, None, stats.leaves, stats.nodes)
     moves = _generate(board, stm, rules)
     if not moves:
         stats.nodes += 1
@@ -642,7 +630,7 @@ def _run_alphabeta(
         return SearchResult(0, None, stats.leaves, stats.nodes)
     stats.nodes += 1
     zkey = z.key(position)
-    ctx.history[position.board + bytes([stm])] = 0
+    ctx.history[position.board + _SIDE_BYTE[stm]] = 0
     best = -WIN_SCORE - 1
     best_move: Optional[Move] = None
     alpha = -WIN_SCORE - 1
@@ -653,13 +641,14 @@ def _run_alphabeta(
         pc = board[f]
         board[f] = 0
         board[t] = pc
+        child_key = zkey ^ ps[pc][f] ^ ps[pc][t] ^ z.side
+        child_ev = ev - pst[pc][f] + pst[pc][t]
         if cap:
             counts[other] -= 1
-        child_key = zkey ^ ps[pc][f] ^ ps[pc][t] ^ z.side
-        if cap:
             child_key ^= ps[cap][t]
+            child_ev -= pst[cap][t]
         if depth >= 2:
-            hkey = bytes(board) + bytes([other])
+            hkey = bytes(board) + _SIDE_BYTE[other]
             if hkey in ctx.history:
                 stats.leaves += 1
                 stats.nodes += 1
@@ -667,12 +656,14 @@ def _run_alphabeta(
             else:
                 ctx.history[hkey] = 1
                 value = -_alphabeta(
-                    ctx, board, other, depth - 1, 1, -beta, -alpha, child_key,
+                    ctx, board, other, depth - 1, 1,
+                    -beta, -alpha, child_key, child_ev,
                 )[0]
                 del ctx.history[hkey]
         else:
             value = -_alphabeta(
-                ctx, board, other, depth - 1, 1, -beta, -alpha, child_key,
+                ctx, board, other, depth - 1, 1,
+                -beta, -alpha, child_key, child_ev,
             )[0]
         if cap:
             counts[other] += 1
@@ -697,6 +688,9 @@ def alphabeta(
 ) -> SearchResult:
     """Alpha-beta search; root score equals ``minimax(position, depth)``.
 
+    Evaluators are piece-square tables, so White's evaluation is scanned
+    once at the root and then kept incrementally: each move changes it by
+    at most three table entries.  ``minimax`` scans the board at every leaf.
     With ``table`` set, transposed subtrees are served from the table.  The
     table must not be shared between searches rooted at different positions:
     repetition draws make subtree values path-dependent, and entries are

@@ -311,6 +311,7 @@ class _PairSpace:
         self.rules = rules
         self.pieces = partition.ordered_pieces()
         self.codes = [piece_code(c, k) for c, k in self.pieces]
+        self.slot_of = {code: i for i, code in enumerate(self.codes)}
         self.allowed = [allowed_squares(k) for _, k in self.pieces]
         self.rank_of = [_square_rank_table(k) for _, k in self.pieces]
         self.weights = []
@@ -391,12 +392,12 @@ def solve_pair(
     board = bytearray(NUM_SQUARES)
     rank_of = space.rank_of
     weights = space.weights
-    piece_at: dict[int, int] = {}
+    slot_of = space.slot_of
+    opp_count = (len(partition.black), len(partition.white))
 
     for base, squares in space.placements():
         for i, code in enumerate(space.codes):
             board[squares[i]] = code
-        piece_slot = {sq: i for i, sq in enumerate(squares)}
         for stm in (WHITE, BLACK):
             state = stm * cap + base
             value[state] = UNRESOLVED
@@ -410,7 +411,7 @@ def solve_pair(
                 dtm[state] = 1
                 continue
             opp_den = DENS[stm ^ 1]
-            opp_pieces = sum(1 for c, _ in space.pieces if c == stm ^ 1)
+            opp_pieces = opp_count[stm]
             best_win = 0
             floor = 0
             draw_edge = False
@@ -438,7 +439,7 @@ def solve_pair(
                         best_win = win_in
                     continue
                 # quiet move: stays in the pair; incremental radix update
-                slot = piece_slot[f]
+                slot = slot_of[board[f]]
                 delta = (rank_of[slot][t] - rank_of[slot][f]) * weights[slot]
                 quiet.append((stm ^ 1) * cap + base + delta)
             succs[state] = tuple(quiet)
@@ -617,16 +618,17 @@ def _successor_values(tablebase: Tablebase, space: _PairSpace, subgames, rules):
     and returns (value, dtm) for the new mover: Loss(0) after den entry or
     taking the last piece; Draw(0) if the opponent cannot move; after a
     capture, the entry of the smaller partition in ``subgames``; else the
-    twin table's entry at the mirrored index, with no Position built (read
-    through ``subgames`` when the table has no sibling).
+    twin table's entry at the mirrored index, with no Position built.  The
+    twin is the table itself, its sibling or the one in ``subgames``; a quiet
+    move without it raises MissingPartitionError naming the twin.
     """
     swapped = tablebase.partition.swapped
     twin_space = _PairSpace(swapped, rules)
     twin = tablebase if swapped == tablebase.partition else tablebase.sibling
-    twin_entries = (
-        twin.entries if twin is not None and twin.partition == swapped else None
-    )
-    slot_of = {code: i for i, code in enumerate(space.codes)}
+    if twin is None or twin.partition != swapped:
+        twin = None if subgames is None else subgames.tables.get(swapped.name)
+    twin_entries = None if twin is None else twin.entries
+    slot_of = space.slot_of
     takes_last = len(tablebase.partition.black) == 1
 
     def value(board, squares, f, t, cap):
@@ -637,8 +639,12 @@ def _successor_values(tablebase: Tablebase, space: _PairSpace, subgames, rules):
         board[t] = code
         if not _has_move(board, BLACK, rules, squares):
             result = Value.DRAW, 0
-        elif cap or twin_entries is None:
+        elif cap:
             result = _subgame_lookup(subgames, Position(bytes(board), BLACK))
+        elif twin_entries is None:
+            raise MissingPartitionError(
+                f"quiet move needs the twin partition {swapped.name}"
+            )
         else:
             slot = slot_of[code]
             squares[slot] = t
@@ -713,8 +719,8 @@ def verify(
     """Local-consistency audit of every entry, in index order.
 
     Win(k) needs a witness successor Loss(k-1) and nothing faster; Loss(k)
-    needs all successors Win with maximum k-1; Draw needs no winning move
-    and a drawing one.  Collision slots must be Invalid(0) and blocked
+    needs all successors Win with maximum k-1; Draw needs dtm 0, no winning
+    move and a drawing one.  Collision slots must be Invalid(0) and blocked
     placements (the mover has no move) Invalid(1).  Successors are valued
     as best_move values them.  Returns violations, empty if sound, at most
     ``limit`` entries long (but always the first one).
@@ -770,6 +776,8 @@ def _violations(tablebase, subgames, rules) -> Iterator[tuple[int, str]]:
                     yield base, f"Loss({dtm_here}) with an escape move"
                 elif slowest_reply + 1 != dtm_here:
                     yield base, f"Loss({dtm_here}) but best delay is {slowest_reply + 1}"
+            elif dtm_here:
+                yield base, f"Draw({dtm_here}) but a draw stores dtm 0"
             elif fastest_win is not None:
                 yield base, "Draw with a winning move"
             elif not has_draw:

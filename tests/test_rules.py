@@ -12,6 +12,7 @@ from doushouqi.rules import (
     IllegalMoveError,
     InvalidPositionError,
     Move,
+    NEIGHBORS,
     Outcome,
     PieceKind,
     Position,
@@ -343,7 +344,7 @@ def test_stalemate_is_draw():
 
 
 def test_has_move_agrees_with_generate():
-    # _has_move settles most boards by an empty step destination; check it
+    # _has_move settles most boards by a legal step; check it
     # against the full move list on playouts and on random 3-4 piece boards
     # crowded into the a1 corner, where pieces get boxed in.
     rng = random.Random(RNG_SEED + 4)
@@ -363,6 +364,94 @@ def test_has_move_agrees_with_generate():
             assert _has_move(board, stm, DEFAULT_RULESET, squares) == bool(moves)
             blocked += not moves and any(board[sq] >> 4 == stm for sq in squares)
     assert blocked >= 10
+
+
+# --- independent move-generation oracle ------------------------------------
+
+OWN_TRAP = (Terrain.WHITE_TRAP, Terrain.BLACK_TRAP)
+OWN_DEN = (Terrain.WHITE_DEN, Terrain.BLACK_DEN)
+
+
+def oracle_moves(board, stm, rules):
+    """Per-piece move list straight from the rules text: NEIGHBORS,
+    terrain_at, can_capture and river lines walked square by square.  It
+    shares no table with _generate and follows its documented order."""
+    moves = []
+
+    def onto(sq, kind, dest):
+        target = board[dest]
+        if not target:
+            moves.append((sq, dest, 0))
+        elif target >> 4 != stm and can_capture(
+            kind,
+            PieceKind(target & 15),
+            attacker_in_water=terrain_at(sq) is Terrain.WATER,
+            defender_in_water=terrain_at(dest) is Terrain.WATER,
+            defender_on_attacker_trap=terrain_at(dest) is OWN_TRAP[stm],
+            rules=rules,
+        ):
+            moves.append((sq, dest, target))
+
+    for sq in range(63):
+        code = board[sq]
+        if not code or code >> 4 != stm:
+            continue
+        kind = PieceKind(code & 15)
+        for dest in NEIGHBORS[sq]:
+            terrain = terrain_at(dest)
+            if terrain is not OWN_DEN[stm] and (
+                kind is PieceKind.RAT or terrain is not Terrain.WATER
+            ):
+                onto(sq, kind, dest)
+        if kind not in (PieceKind.TIGER, PieceKind.LION):
+            continue
+        landings = []
+        for df, dr in ((0, -1), (-1, 0), (1, 0), (0, 1)):
+            f, r = sq % 7 + df, sq // 7 + dr
+            crossed = []
+            while 0 <= f < 7 and 0 <= r < 9 and terrain_at(r * 7 + f) is Terrain.WATER:
+                crossed.append(r * 7 + f)
+                f, r = f + df, r + dr
+            if crossed and not any(board[m] for m in crossed):
+                landings.append(r * 7 + f)
+        for dest in sorted(landings):
+            onto(sq, kind, dest)
+    return moves
+
+
+def oracle_boards(rng, count):
+    """Seeded boards of 2-16 distinct pieces, each on a square it may hold;
+    rats go to the water a third of the time."""
+    codes = [piece_code(c, k) for c in (WHITE, BLACK) for k in PieceKind]
+    water = sorted(WATER_SQUARES)
+    land = [sq for sq in range(63) if sq not in WATER_SQUARES]
+    for _ in range(count):
+        board = bytearray(63)
+        for code in rng.sample(codes, rng.randrange(2, 17)):
+            rat = code & 15 == PieceKind.RAT
+            squares = water if rat and rng.random() < 1 / 3 else land
+            free = [
+                sq for sq in squares
+                if not board[sq] and sq != (WHITE_DEN, BLACK_DEN)[code >> 4]
+            ]
+            board[rng.choice(free)] = code
+        yield board
+
+
+def test_generate_matches_the_oracle_under_every_rule_variant():
+    rng = random.Random(RNG_SEED + 5)
+    variants = [Ruleset.from_flag_word(word) for word in range(8)]
+    calls = 0
+    for n, board in enumerate(oracle_boards(rng, 2000)):
+        if n % 2:
+            board = bytes(board)
+        for rules in variants:
+            for stm in (WHITE, BLACK):
+                assert _generate(board, stm, rules) == oracle_moves(board, stm, rules), (
+                    bytes(board).hex(), stm, rules,
+                )
+                calls += 1
+    assert calls == 2000 * 16
 
 
 def test_validate_position_rejects_bad_boards():

@@ -199,13 +199,18 @@ def test_alphabeta_matches_minimax_from_initial():
 
 
 def test_alphabeta_matches_minimax_on_random_positions():
+    # Both evaluators: alpha-beta keeps the evaluation incrementally,
+    # minimax rescans the board at every leaf.
     rng = random.Random(RNG_SEED + 4)
     for pos in ongoing_positions(rng, 12):
-        for depth in (2, 3):
-            mm = minimax(pos, depth)
-            plain = alphabeta(pos, depth)
-            cached = alphabeta(pos, depth, table=TranspositionTable(12))
-            assert plain.score == cached.score == mm.score
+        for evaluator in ("material-den", "material"):
+            for depth in (1, 2, 3):
+                mm = minimax(pos, depth, evaluator=evaluator)
+                plain = alphabeta(pos, depth, evaluator=evaluator)
+                cached = alphabeta(
+                    pos, depth, table=TranspositionTable(12), evaluator=evaluator
+                )
+                assert plain.score == cached.score == mm.score
 
 
 def test_alphabeta_mirror_antisymmetry():
@@ -292,3 +297,18 @@ def test_probe_aware_search_falls_back_to_eval_when_uncovered():
     store = FlatStore(value=0, dtm=0)
     assert probe_aware_search(pos, 1, store).score == alphabeta(pos, 1).score
     assert store.probes == 0  # 16-piece children are never covered
+    # Three pieces out of each other's reach: no node is covered, so every
+    # leaf is evaluated, as in plain alpha-beta.
+    pos = sparse(
+        WHITE,
+        ("a1", WHITE, PieceKind.LION),
+        ("g1", WHITE, PieceKind.RAT),
+        ("g9", BLACK, PieceKind.TIGER),
+    )
+    for evaluator in ("material-den", "material"):
+        for table in (None, TranspositionTable(10)):
+            probed = probe_aware_search(pos, 3, store, table, evaluator=evaluator)
+            plain = alphabeta(pos, 3, evaluator=evaluator)
+            assert probed.score == plain.score == minimax(pos, 3, evaluator=evaluator).score
+            assert probed.score != 0
+    assert store.probes == 0

@@ -117,7 +117,10 @@ def reference_verify(tablebase, subgames=None, rules=DEFAULT_RULESET, limit=50):
                 if note(idx, f"Loss({dtm_here}) but best delay is {slowest_reply + 1}"):
                     return violations
         else:
-            if fastest_win is not None:
+            if dtm_here:
+                if note(idx, f"Draw({dtm_here}) but a draw stores dtm 0"):
+                    return violations
+            elif fastest_win is not None:
                 if note(idx, "Draw with a winning move"):
                     return violations
             elif not has_draw:
@@ -152,7 +155,7 @@ def reference_best_move(tablebase, position, subgames=None, rules=DEFAULT_RULESE
 
 def corrupt(rng, table, slots, count):
     """Copy of ``table`` with ``count`` of ``slots`` rewritten: value flips,
-    dtm +-1, and the two Invalid markers in and out of place."""
+    dtm +-1, Draw(k>0), and the two Invalid markers in and out of place."""
     entries = array("H", table.entries)
     for idx in rng.sample(slots, count):
         value, dtm = table.entry(idx)
@@ -169,6 +172,7 @@ def corrupt(rng, table, slots, count):
                 (rng.choice(flips), dtm),
                 (value, dtm + 1),
                 (value, max(dtm - 1, 0)),
+                (Value.DRAW, rng.randrange(1, 40)),
                 COLLISION,                   # out of place
                 BLOCKED,                     # out of place
             ]
@@ -257,9 +261,11 @@ def slot_of(line):
 def test_verify_without_the_twin_raises_like_the_reference(two_piece_store):
     clean = two_piece_store.tables["T_l"]
     lone = Tablebase(clean.partition, clean.rules_word, clean.entries)
-    for check in (verify, reference_verify):
-        with pytest.raises(MissingPartitionError):
-            check(lone, TablebaseStore())
+    for subgames in (None, TablebaseStore()):
+        with pytest.raises(MissingPartitionError, match="twin partition L_t"):
+            verify(lone, subgames)
+    with pytest.raises(MissingPartitionError, match="L_t"):
+        reference_verify(lone, TablebaseStore())
     assert verify(lone, two_piece_store) == []
 
 
