@@ -30,6 +30,7 @@ from .mining import (
     partition_examples,
 )
 from .rules import (
+    MAX_PERFT_DEPTH,
     WHITE,
     InvalidPositionError,
     Outcome,
@@ -257,8 +258,10 @@ def _select_tables(store: TablebaseStore, pieces: str | None) -> list:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_perft(args, config: Config) -> int:
-    if args.depth < 0:
-        raise CommandError(EXIT_USAGE, "depth must be >= 0")
+    if not 0 <= args.depth <= MAX_PERFT_DEPTH:
+        raise CommandError(
+            EXIT_USAGE, f"depth {args.depth} is outside 0..{MAX_PERFT_DEPTH}"
+        )
     position = _position_arg(args.position)
     rules = config.ruleset()
     depths = [0] if args.depth == 0 else range(1, args.depth + 1)

@@ -609,6 +609,9 @@ def initial_position() -> Position:
 # Side-to-move byte that ends a repetition-history key (board + side).
 _SIDE_BYTE = (bytes([WHITE]), bytes([BLACK]))
 
+# Deepest perft accepted; far beyond any count that finishes in practice.
+MAX_PERFT_DEPTH = 16
+
 
 def perft(position: Position, depth: int, rules: Ruleset = DEFAULT_RULESET) -> int:
     """Leaf count of the depth-limited minimax tree.
@@ -620,8 +623,8 @@ def perft(position: Position, depth: int, rules: Ruleset = DEFAULT_RULESET) -> i
     semantics, not to the move rules (legal_moves imposes no repetition
     restriction).
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    if not 0 <= depth <= MAX_PERFT_DEPTH:
+        raise ValueError(f"depth {depth} is outside 0..{MAX_PERFT_DEPTH}")
     validate_position(position)
     board = bytearray(position.board)
     counts = [0, 0]

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 from array import array
 from enum import IntEnum
-from itertools import islice
+from functools import cache
+from itertools import islice, product
 from typing import Iterator, NamedTuple, Optional
 
 from .rules import (
@@ -56,23 +58,15 @@ def allowed_squares(kind: PieceKind) -> tuple[int, ...]:
     return ALLOWED_RAT if kind == PieceKind.RAT else ALLOWED_NONRAT
 
 
-_RANK_IN_RAT = [-1] * NUM_SQUARES
-for _i, _sq in enumerate(ALLOWED_RAT):
-    _RANK_IN_RAT[_sq] = _i
-_RANK_IN_NONRAT = [-1] * NUM_SQUARES
-for _i, _sq in enumerate(ALLOWED_NONRAT):
-    _RANK_IN_NONRAT[_sq] = _i
-
-
-def _square_rank_table(kind: PieceKind) -> list[int]:
-    return _RANK_IN_RAT if kind == PieceKind.RAT else _RANK_IN_NONRAT
-
-
 class Value(IntEnum):
     DRAW = 0
     WIN = 1
     LOSS = 2
     INVALID = 3    # dtm 0: collision hole; dtm 1: blocked-mover placement
+
+
+_COLLISION = Value.INVALID             # packed Invalid(0)
+_BLOCKED = Value.INVALID | 1 << 2      # packed Invalid(1)
 
 
 class MissingPartitionError(KeyError):
@@ -181,13 +175,13 @@ def index(position: Position, partition: Partition) -> int:
             f"position holds {Partition.of_position(position).name}, "
             f"not {partition.name}"
         )
+    space = _pair_space(partition)
     idx = 0
-    for color, kind in partition.ordered_pieces():
-        sq = position.board.index(piece_code(color, kind))
-        rank = _square_rank_table(kind)[sq]
-        if rank < 0:
+    for code, terms in zip(space.codes, space.terms):
+        sq = position.board.index(code)
+        if terms[sq] < 0:
             raise ValueError(f"piece on disallowed square {sq}")
-        idx = idx * len(allowed_squares(kind)) + rank
+        idx += terms[sq]
     return idx
 
 
@@ -304,51 +298,49 @@ class _PairSpace:
     State index = stm * capacity + mixed-radix placement index, using the
     partition's own digit order for both halves.  The Black-to-move half
     maps onto the swapped partition's universe through the rank mirror.
+    ``terms[slot][sq]`` is the index term of the slot's piece on ``sq``
+    (rank of the square times the slot's weight, -1 off the universe), so
+    an index is a sum of terms and a move changes one of them.
     """
 
-    def __init__(self, partition: Partition, rules: Ruleset) -> None:
-        self.partition = partition
-        self.rules = rules
-        self.pieces = partition.ordered_pieces()
-        self.codes = [piece_code(c, k) for c, k in self.pieces]
+    def __init__(self, partition: Partition) -> None:
+        pieces = partition.ordered_pieces()
+        self.codes = [piece_code(c, k) for c, k in pieces]
         self.slot_of = {code: i for i, code in enumerate(self.codes)}
-        self.allowed = [allowed_squares(k) for _, k in self.pieces]
-        self.rank_of = [_square_rank_table(k) for _, k in self.pieces]
-        self.weights = []
-        w = 1
+        self.allowed = [allowed_squares(k) for _, k in pieces]
+        weights, w = [], 1
         for lst in reversed(self.allowed):
-            self.weights.append(w)
+            weights.insert(0, w)
             w *= len(lst)
-        self.weights.reverse()
         self.capacity = w
+        self.terms = [
+            [allowed.index(sq) * weight if sq in allowed else -1
+             for sq in range(NUM_SQUARES)]
+            for allowed, weight in zip(self.allowed, weights)
+        ]
         # Piece i of the swapped partition's digit order is piece j here;
-        # its term is j's rank of the mirrored square times j's weight.
-        n, shift = len(self.pieces), len(partition.white)
+        # its term is j's term of the mirrored square.
+        n, shift = len(pieces), len(partition.white)
         self.mirror_terms = [
-            [self.rank_of[j][_MIRROR[sq]] * self.weights[j] for sq in range(NUM_SQUARES)]
+            [self.terms[j][_MIRROR[sq]] for sq in range(NUM_SQUARES)]
             for j in ((i + shift) % n for i in range(n))
         ]
 
-    def placements(self) -> Iterator[tuple[int, list[int]]]:
+    def placements(self) -> Iterator[tuple[int, tuple[int, ...]]]:
         """All collision-free placements as (radix index, squares)."""
         pieces = len(self.codes)
-        squares = [0] * pieces
-        def rec(i: int, base: int):
-            if i == pieces:
+        for base, squares in enumerate(product(*self.allowed)):
+            if len(set(squares)) == pieces:
                 yield base, squares
-                return
-            weight = self.weights[i]
-            for rank, sq in enumerate(self.allowed[i]):
-                if sq in squares[:i]:
-                    continue
-                squares[i] = sq
-                yield from rec(i + 1, base + rank * weight)
-        yield from rec(0, 0)
 
     def mirror_index(self, squares) -> int:
         """Index here of the rank mirror, colours swapped, of a placement
         of the swapped partition given as squares in its digit order."""
         return sum(map(list.__getitem__, self.mirror_terms, squares))
+
+
+# One space per partition: it does not depend on the rule variant.
+_pair_space = cache(_PairSpace)
 
 
 def _subgame_lookup(subgames: Optional[TablebaseStore], position) -> tuple[Value, int]:
@@ -375,152 +367,158 @@ def solve_pair(
     Returns the pair (partition's table, swapped partition's table); for a
     self-swapped partition both elements are the same object and the two
     halves are checked against each other through the mirror map.
+
+    The graph is never stored.  Per state there are three flat arrays: the
+    packed entry (0 while unresolved, which is Draw(0) at the end; a
+    pending win holds its best distance so far), the count of moves not
+    yet known to lose (quiet moves plus captures into a draw) and the
+    slowest loss that its captures into opponent wins force.
+    Predecessors are generated when a state is finalised, by playing the
+    previous mover's quiet moves backwards.  A quiet move goes onto an
+    empty square, and such a move can be taken back: steps join
+    neighbours both ways, a leap crosses the same river squares both ways,
+    an empty square is open to every piece that may stand on it, and the
+    square left is one the piece may stand on (water only for the rat, no
+    den in the universe).  So the reversed quiet moves that land inside
+    the universe (a reversed step onto a den is dropped) give exactly the
+    states with a quiet move into this one, each once.  Den entries and
+    captures are never reversed: they leave the pair, into terminal or
+    smaller positions, so no state of the pair reaches another by one.
+    A predecessor's mover has the move just reversed, so it is never a
+    blocked state; blocked states and collision slots hold Invalid
+    entries, never 0, so none is taken for unresolved.
     """
-    space = _PairSpace(partition, rules)
+    space = _pair_space(partition)
     cap = space.capacity
     total = 2 * cap
-    value = bytearray([Value.INVALID] * total)   # INVALID until proven a state
-    dtm = [0] * total
-    pending = [0] * total
-    loss_floor = [0] * total
-    has_draw_edge = bytearray(total)
-    static_win = [0] * total                      # 0 = none, else dtm
-    succs: list[tuple[int, ...]] = [()] * total
-    preds: list[list[int]] = [[] for _ in range(total)]
-    UNRESOLVED = 255
+    codes, terms, allowed = space.codes, space.terms, space.allowed
+    WIN, LOSS = Value.WIN, Value.LOSS
+    steps, leaps = rules._move_table
+    # A dtm past MAX_DTM does not fit: storing it raises OverflowError.
+    entries = array("H", [_COLLISION]) * total
+    pending = bytearray(total)
+    loss_floor = array("H", bytes(total * 2))
+    wins: list[array] = []
+    losses: list[array] = []
+
+    def push(buckets: list[array], d: int, state: int) -> None:
+        while len(buckets) <= d:
+            buckets.append(array("I"))
+        buckets[d].append(state)
 
     board = bytearray(NUM_SQUARES)
-    rank_of = space.rank_of
-    weights = space.weights
-    slot_of = space.slot_of
     opp_count = (len(partition.black), len(partition.white))
-
     for base, squares in space.placements():
-        for i, code in enumerate(space.codes):
-            board[squares[i]] = code
+        for sq, code in zip(squares, codes):
+            board[sq] = code
         for stm in (WHITE, BLACK):
             state = stm * cap + base
-            value[state] = UNRESOLVED
             moves = _generate(board, stm, rules)
             if not moves:
                 # Blocked mover: terminal draw by rule, so not a position of
                 # the stored universe (same footing as den occupation).  The
                 # dtm-1 marker separates it from a collision hole; quiet
                 # moves into it read as draws through the terminal check.
-                value[state] = Value.INVALID
-                dtm[state] = 1
+                entries[state] = _BLOCKED
                 continue
             opp_den = DENS[stm ^ 1]
-            opp_pieces = opp_count[stm]
-            best_win = 0
-            floor = 0
-            draw_edge = False
-            quiet: list[int] = []
+            best_win = floor = open_moves = 0
             for f, t, cap_code in moves:
-                if cap_code or t == opp_den:
-                    if not cap_code or opp_pieces == 1:
-                        win_in = 1       # den entry, or took the last piece
-                    else:
-                        succ_board = bytearray(board)
-                        succ_board[f] = 0
-                        succ_board[t] = board[f]
-                        sub_val, sub_dtm = _subgame_lookup(
-                            subgames, Position(bytes(succ_board), stm ^ 1)
-                        )
-                        if sub_val is Value.LOSS:
-                            win_in = sub_dtm + 1
-                        elif sub_val is Value.DRAW:
-                            draw_edge = True
-                            continue
-                        else:
-                            floor = max(floor, sub_dtm + 1)
-                            continue
-                    if best_win == 0 or win_in < best_win:
-                        best_win = win_in
+                if not cap_code and t != opp_den:
+                    open_moves += 1           # quiet move: stays in the pair
                     continue
-                # quiet move: stays in the pair; incremental radix update
-                slot = slot_of[board[f]]
-                delta = (rank_of[slot][t] - rank_of[slot][f]) * weights[slot]
-                quiet.append((stm ^ 1) * cap + base + delta)
-            succs[state] = tuple(quiet)
-            pending[state] = len(quiet)
-            loss_floor[state] = floor
-            has_draw_edge[state] = draw_edge
-            static_win[state] = best_win
+                if not cap_code or opp_count[stm] == 1:
+                    win_in = 1       # den entry, or took the last piece
+                else:
+                    succ_board = bytearray(board)
+                    succ_board[f] = 0
+                    succ_board[t] = board[f]
+                    sub_val, sub_dtm = _subgame_lookup(
+                        subgames, Position(bytes(succ_board), stm ^ 1)
+                    )
+                    if sub_val is Value.DRAW:
+                        open_moves += 1       # a drawn capture: never a Loss
+                        continue
+                    if sub_val is not Value.LOSS:
+                        floor = max(floor, sub_dtm + 1)
+                        continue
+                    win_in = sub_dtm + 1
+                if best_win == 0 or win_in < best_win:
+                    best_win = win_in
+            if best_win:
+                entries[state] = best_win << 2 | WIN
+                push(wins, best_win, state)
+            elif open_moves:
+                entries[state] = 0
+                pending[state] = open_moves
+                loss_floor[state] = floor
+            else:
+                # every move was a capture into an opponent win
+                entries[state] = 0
+                push(losses, floor, state)
         for sq in squares:
             board[sq] = 0
 
-    for state in range(total):
-        if value[state] == UNRESOLVED:
-            for succ in succs[state]:
-                preds[succ].append(state)
+    n, whites = len(codes), len(partition.white)
+    slots = (range(whites), range(whites, n))
+    digits = [(i, len(allowed[i]), allowed[i], codes[i]) for i in reversed(range(n))]
+    where = [0] * n
+
+    def unmoves(state: int) -> list[int]:
+        """Predecessors of a state: the previous mover's quiet moves played
+        backwards on its placement (see above)."""
+        stm, rem = divmod(state, cap)
+        for i, radix, squares, code in digits:
+            rem, rank = divmod(rem, radix)
+            where[i] = sq = squares[rank]
+            board[sq] = code
+        found = []
+        shift = state + (1 - 2 * stm) * cap      # same placement, other side
+        for i in slots[stm ^ 1]:
+            t, code, term = where[i], codes[i], terms[i]
+            here = shift - term[t]
+            for f, _ in steps[code][t]:
+                if not board[f] and term[f] >= 0:
+                    found.append(here + term[f])
+            for f, crossed, _ in leaps[code][t]:
+                if not board[f] and not any(board[crossed]):
+                    found.append(here + term[f])
+        for sq in where:
+            board[sq] = 0
+        return found
 
     # Layered propagation: finalize wins then losses at each distance.
-    win_buckets: list[list[int]] = [[] for _ in range(4)]
-    loss_buckets: list[list[int]] = [[] for _ in range(4)]
-
-    def bucket(buckets: list[list[int]], d: int) -> list[int]:
-        while len(buckets) <= d:
-            buckets.append([])
-        return buckets[d]
-
-    for state in range(total):
-        if value[state] != UNRESOLVED:
-            continue
-        if static_win[state]:
-            bucket(win_buckets, static_win[state]).append(state)
-        elif pending[state] == 0 and not has_draw_edge[state]:
-            # every move was a capture into an opponent win
-            bucket(loss_buckets, loss_floor[state]).append(state)
-
     d = 1
-    while d < len(win_buckets) or d < len(loss_buckets):
-        if d < len(win_buckets):
-            for state in win_buckets[d]:
-                if value[state] != UNRESOLVED:
-                    continue
-                value[state] = Value.WIN
-                dtm[state] = d
-                for p in preds[state]:
-                    if value[p] != UNRESOLVED:
-                        continue
-                    pending[p] -= 1
-                    if (
-                        pending[p] == 0
-                        and not has_draw_edge[p]
-                        and not static_win[p]
-                    ):
-                        bucket(loss_buckets, max(d + 1, loss_floor[p])).append(p)
-        if d < len(loss_buckets):
-            for state in loss_buckets[d]:
-                if value[state] != UNRESOLVED:
-                    continue
-                value[state] = Value.LOSS
-                dtm[state] = d
-                for p in preds[state]:
-                    if value[p] == UNRESOLVED:
-                        bucket(win_buckets, d + 1).append(p)
+    while d < len(wins) or d < len(losses):
+        if d < len(wins):
+            won = d << 2 | WIN
+            for state in wins[d]:
+                if entries[state] != won:
+                    continue              # won faster meanwhile
+                for p in unmoves(state):
+                    if entries[p] == 0:
+                        pending[p] -= 1
+                        if pending[p] == 0:
+                            push(losses, max(d + 1, loss_floor[p]), p)
+        if d < len(losses):
+            won = (d + 1) << 2 | WIN
+            for state in losses[d]:
+                entries[state] = d << 2 | LOSS
+                for p in unmoves(state):
+                    e = entries[p]
+                    if e == 0 or e & 3 == WIN and e > won:
+                        entries[p] = won
+                        push(wins, d + 1, p)
         d += 1
 
-    for state in range(total):
-        if value[state] == UNRESOLVED:
-            value[state] = Value.DRAW
-            dtm[state] = 0
-
-    if max(dtm) > MAX_DTM:
-        raise OverflowError("dtm exceeds the 14-bit entry field")
-
-    # Pack the White-to-move half directly.
-    own = array("H", [value[i] | dtm[i] << 2 for i in range(cap)])
+    own = entries[:cap]
     own_tb = Tablebase(partition, rules.flag_word, own)
 
     # The Black-to-move half is the swapped partition through the mirror.
     swapped = partition.swapped
-    twin_space = _PairSpace(swapped, rules)
-    twin_entries = array("H", [Value.INVALID]) * twin_space.capacity
-    for twin_base, squares in twin_space.placements():
-        state = BLACK * cap + space.mirror_index(squares)
-        twin_entries[twin_base] = value[state] | dtm[state] << 2
+    twin_entries = array("H", [_COLLISION]) * cap
+    for twin_base, squares in _pair_space(swapped).placements():
+        twin_entries[twin_base] = entries[cap + space.mirror_index(squares)]
     if swapped == partition:
         if twin_entries != own:
             raise AssertionError(
@@ -572,14 +570,22 @@ def write_tablebase(tablebase: Tablebase, directory: str) -> str:
         len(tablebase.entries),
     )
     payload = tablebase.entries.tobytes()
-    import sys
     if sys.byteorder != "little":            # entries are LE on disk
         swapped = bytearray(payload)
         swapped[0::2], swapped[1::2] = payload[1::2], payload[0::2]
         payload = bytes(swapped)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    # Written beside the target and renamed over it: a failed or killed
+    # write leaves the old file, never a partial one.
+    partial = f"{path}.{os.getpid()}.tmp"
+    fh = open(partial, "wb")
+    try:
+        with fh:
+            fh.write(header)
+            fh.write(payload)
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
     return path
 
 
@@ -597,7 +603,6 @@ def read_tablebase(path: str) -> Tablebase:
         raise ValueError(f"{path}: truncated entry block")
     entries = array("H")
     entries.frombytes(body)
-    import sys
     if sys.byteorder != "little":
         entries.byteswap()
     return Tablebase(partition, rules_word, entries)
@@ -605,16 +610,12 @@ def read_tablebase(path: str) -> Tablebase:
 
 # --- probing ----------------------------------------------------------------
 
-_COLLISION = Value.INVALID             # packed Invalid(0)
-_BLOCKED = Value.INVALID | 1 << 2      # packed Invalid(1)
-
-
-def _successor_values(tablebase: Tablebase, space: _PairSpace, subgames, rules):
-    """Valuer of the moves from ``tablebase``'s placements, White to move
-    (``space`` is its _PairSpace); verify and best_move both use it.
+def _successor_values(tablebase: Tablebase, subgames, rules):
+    """Valuer of the moves from ``tablebase``'s placements, White to move;
+    verify and best_move both use it.
 
     ``value(board, squares, f, t, cap)`` plays a generated move on a raw
-    board whose pieces stand on ``squares`` (digit order), restores both,
+    board whose pieces stand on ``squares`` (digit order), restores it,
     and returns (value, dtm) for the new mover: Loss(0) after den entry or
     taking the last piece; Draw(0) if the opponent cannot move; after a
     capture, the entry of the smaller partition in ``subgames``; else the
@@ -623,12 +624,12 @@ def _successor_values(tablebase: Tablebase, space: _PairSpace, subgames, rules):
     move without it raises MissingPartitionError naming the twin.
     """
     swapped = tablebase.partition.swapped
-    twin_space = _PairSpace(swapped, rules)
+    twin_space = _pair_space(swapped)
     twin = tablebase if swapped == tablebase.partition else tablebase.sibling
     if twin is None or twin.partition != swapped:
         twin = None if subgames is None else subgames.tables.get(swapped.name)
     twin_entries = None if twin is None else twin.entries
-    slot_of = space.slot_of
+    slot_of = _pair_space(tablebase.partition).slot_of
     takes_last = len(tablebase.partition.black) == 1
 
     def value(board, squares, f, t, cap):
@@ -646,10 +647,10 @@ def _successor_values(tablebase: Tablebase, space: _PairSpace, subgames, rules):
                 f"quiet move needs the twin partition {swapped.name}"
             )
         else:
-            slot = slot_of[code]
-            squares[slot] = t
-            packed = twin_entries[twin_space.mirror_index(squares)]
-            squares[slot] = f
+            terms = twin_space.mirror_terms[slot_of[code]]
+            packed = twin_entries[
+                twin_space.mirror_index(squares) - terms[f] + terms[t]
+            ]
             result = packed & 3, packed >> 2
         board[f] = code
         board[t] = cap
@@ -664,12 +665,16 @@ def best_move(
     rules: Ruleset = DEFAULT_RULESET,
 ) -> Optional[Move]:
     """First generated move achieving the stored value with exact dtm."""
-    value, dtm_here = tablebase.lookup(position)
+    return _witness(tablebase, position, tablebase.lookup(position), subgames, rules)
+
+
+def _witness(tablebase, position, entry, subgames, rules) -> Optional[Move]:
+    """best_move, given the position's entry (value, dtm)."""
+    value, dtm_here = entry
     canon, mirrored = canonicalize(position)
-    space = _PairSpace(tablebase.partition, rules)
-    value_of = _successor_values(tablebase, space, subgames, rules)
+    value_of = _successor_values(tablebase, subgames, rules)
     board = bytearray(canon.board)
-    squares = [board.index(code) for code in space.codes]
+    squares = [board.index(code) for code in _pair_space(tablebase.partition).codes]
     moves = _generate(board, WHITE, rules)
     if not moves:
         return None
@@ -704,8 +709,8 @@ def probe(
 ) -> tuple[Value, int, Optional[Move]]:
     """Stored value/dtm plus a witness best move (see best_move)."""
     validate_position(position)
-    value, dtm_here = tablebase.lookup(position)
-    return value, dtm_here, best_move(tablebase, position, subgames, rules)
+    entry = tablebase.lookup(position)
+    return entry + (_witness(tablebase, position, entry, subgames, rules),)
 
 
 # --- verification -----------------------------------------------------------
@@ -734,8 +739,8 @@ def verify(
 def _violations(tablebase, subgames, rules) -> Iterator[tuple[int, str]]:
     """(index, message) of each violation of verify, walking the slots in
     index order on one reused board."""
-    space = _PairSpace(tablebase.partition, rules)
-    value_of = _successor_values(tablebase, space, subgames, rules)
+    space = _pair_space(tablebase.partition)
+    value_of = _successor_values(tablebase, subgames, rules)
     entries = tablebase.entries
     board = bytearray(NUM_SQUARES)
     checked = 0                       # every slot below this is audited

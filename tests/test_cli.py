@@ -5,9 +5,12 @@ for being parseable, never for their value.
 """
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import doushouqi
 from doushouqi import mining
 from doushouqi.cli import (
     EXIT_MISSING,
@@ -19,7 +22,7 @@ from doushouqi.cli import (
     main,
 )
 from doushouqi.search import MAX_PLY, TranspositionTable, alphabeta, minimax
-from doushouqi.rules import position_from_text
+from doushouqi.rules import MAX_PERFT_DEPTH, position_from_text
 
 FACING_ELEPHANTS = "7/7/3e3/7/7/7/3E3/7/7 w"
 TIGER_RACE = "t6/7/T6/7/7/7/7/7/7 w"
@@ -67,6 +70,25 @@ def test_perft_negative_depth(capsys):
     rc, _, err = run(capsys, "perft", "initial", "-1")
     assert rc == EXIT_USAGE
     assert "depth" in err
+
+
+@pytest.mark.parametrize("depth", (str(MAX_PERFT_DEPTH + 1), "99999999999999999999"))
+def test_perft_depth_above_the_bound(capsys, depth):
+    rc, out, err = run(capsys, "perft", "initial", depth)
+    assert rc == EXIT_USAGE and out == []
+    assert f"depth {depth} is outside 0..{MAX_PERFT_DEPTH}" in err
+
+
+def test_python_dash_m_runs_the_driver_quietly():
+    src = os.path.dirname(os.path.dirname(doushouqi.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "doushouqi", "perft", "initial", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_OK
+    assert done.stderr == ""
+    assert cells(done.stdout.splitlines()[0])[:2] == ["1", "24"]
 
 
 def test_perft_parse_error_reports_offset(capsys):

@@ -41,7 +41,7 @@ from doushouqi.rules import (
     terrain_at,
     validate_position,
 )
-from doushouqi.rules import _generate, _has_move
+from doushouqi.rules import MAX_PERFT_DEPTH, _generate, _has_move
 
 RNG_SEED = 20120711
 
@@ -594,6 +594,8 @@ def test_perft_terminal_and_zero_depth():
     assert perft(pos, 0) == 1
     with pytest.raises(ValueError):
         perft(pos, -1)
+    with pytest.raises(ValueError, match=f"depth {MAX_PERFT_DEPTH + 1} "):
+        perft(pos, MAX_PERFT_DEPTH + 1)
 
 
 def test_ruleset_flag_word_round_trip():

@@ -1,5 +1,7 @@
 """Endgame tables: enumeration, solving, persistence, probing, audit."""
 
+import builtins
+import errno
 import os
 import random
 import struct
@@ -7,6 +9,7 @@ from array import array
 
 import pytest
 
+import doushouqi.tablebase as tablebase_module
 from doushouqi.rules import (
     BLACK,
     BLACK_DEN,
@@ -280,6 +283,54 @@ def test_file_round_trip_and_header(tmp_path, two_piece_store):
     back = read_tablebase(path)
     assert back.partition == tb.partition
     assert back.entries == tb.entries
+
+
+class _FailsAfterHeader:
+    """File wrapper whose second write (the payload) fails: a disk that
+    fills up midway through a table."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(data)
+
+
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, two_piece_store):
+    tb = two_piece_store.tables["T_l"]
+    path = write_tablebase(tb, str(tmp_path))
+    before = open(path, "rb").read()
+    drawn = Tablebase(tb.partition, tb.rules_word, array("H", [0]) * len(tb.entries))
+    monkeypatch.setattr(
+        tablebase_module, "open",
+        lambda *args: _FailsAfterHeader(builtins.open(*args)), raising=False,
+    )
+    with pytest.raises(OSError) as failed:
+        write_tablebase(drawn, str(tmp_path))
+    assert failed.value.errno == errno.ENOSPC
+    # A temp file that cannot be created at all surfaces that error as is.
+    def denied(*args):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    monkeypatch.setattr(tablebase_module, "open", denied, raising=False)
+    with pytest.raises(PermissionError):
+        write_tablebase(drawn, str(tmp_path))
+    monkeypatch.undo()
+    assert os.listdir(tmp_path) == ["T_l.dsqt"]
+    assert open(path, "rb").read() == before
+    write_tablebase(drawn, str(tmp_path))
+    assert read_tablebase(path).entries == drawn.entries
+    assert os.listdir(tmp_path) == ["T_l.dsqt"]
 
 
 def test_read_rejects_foreign_files(tmp_path):
